@@ -263,7 +263,7 @@ mod tests {
         assert_eq!(flow_lp.lp.n(), 3);
         assert_eq!(flow_lp.edge_count, 4);
         assert_eq!(flow_lp.vertex_count, 3);
-        flow_lp.lp.validate();
+        assert_eq!(flow_lp.lp.try_validate(), Ok(()));
     }
 
     #[test]

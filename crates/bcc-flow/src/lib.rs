@@ -16,17 +16,18 @@
 //!
 //! ```
 //! use bcc_flow::baselines::ssp_min_cost_max_flow;
-//! use bcc_flow::mcmf::{min_cost_max_flow_bcc, McmfOptions};
+//! use bcc_flow::mcmf::{try_min_cost_max_flow_bcc, McmfOptions};
 //! use bcc_graph::{DiGraph, FlowInstance};
 //! use bcc_runtime::{ModelConfig, Network};
 //!
 //! let g = DiGraph::from_arcs(3, [(0, 1, 2, 1), (1, 2, 2, 1), (0, 2, 1, 5)]);
 //! let instance = FlowInstance::new(g, 0, 2);
 //! let mut net = Network::clique(ModelConfig::bcc(), 3);
-//! let result = min_cost_max_flow_bcc(&mut net, &instance, &McmfOptions::default());
+//! let result = try_min_cost_max_flow_bcc(&mut net, &instance, &McmfOptions::default())?;
 //! let baseline = ssp_min_cost_max_flow(&instance);
 //! assert_eq!(result.flow.value, baseline.value);
 //! assert_eq!(result.flow.cost, baseline.cost);
+//! # Ok::<(), bcc_flow::FlowError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,6 +42,5 @@ pub use baselines::{dinic_max_flow, ssp_min_cost_max_flow, IntegralFlow};
 pub use error::FlowError;
 pub use formulation::{build_flow_lp, FlowLp, FlowLpConfig};
 pub use mcmf::{
-    min_cost_max_flow_bcc, try_min_cost_max_flow_bcc, McmfOptions, McmfResult, SddGramSolver,
-    WeightStrategyChoice,
+    try_min_cost_max_flow_bcc, McmfOptions, McmfResult, SddGramSolver, WeightStrategyChoice,
 };

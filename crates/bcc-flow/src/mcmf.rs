@@ -20,7 +20,7 @@ use crate::baselines::IntegralFlow;
 use crate::error::FlowError;
 use crate::formulation::{build_flow_lp, FlowLp, FlowLpConfig};
 
-/// Options of [`min_cost_max_flow_bcc`].
+/// Options of [`try_min_cost_max_flow_bcc`].
 #[derive(Debug, Clone)]
 pub struct McmfOptions {
     /// Seed for the cost perturbation and the solver randomness.
@@ -130,13 +130,17 @@ impl GramSolver for SddGramSolver {
             }
         }
         // Lemma 5.1 guarantees diagonal dominance for the Section-5 flow LP;
-        // on a general LP the precondition can fail, which surfaces as a
-        // typed error the LP driver propagates instead of a panic.
+        // on a general LP the precondition can fail, or the Gremban graph can
+        // be disconnected (a diagonal AᵀDA), which surfaces as a typed error
+        // the LP driver propagates instead of a panic.
         let matrix = SddMatrix::from_triplets(n, triplets).map_err(|e| LpError::GramSolve {
             solver: self.name(),
             message: format!("AᵀDA is not symmetric diagonally dominant: {e}"),
         })?;
-        Ok(solve_sdd(net, &matrix, y, self.precision, &self.mode))
+        solve_sdd(net, &matrix, y, self.precision, &self.mode).map_err(|e| LpError::GramSolve {
+            solver: self.name(),
+            message: format!("the Gremban reduction of AᵀDA failed: {e}"),
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -243,20 +247,6 @@ pub fn try_min_cost_max_flow_bcc(
     })
 }
 
-/// Panicking variant of [`try_min_cost_max_flow_bcc`], kept for the
-/// pre-`Session` API.
-///
-/// # Panics
-///
-/// Panics if the instance is empty or its LP encoding is rejected.
-pub fn min_cost_max_flow_bcc(
-    net: &mut Network,
-    instance: &FlowInstance,
-    options: &McmfOptions,
-) -> McmfResult {
-    try_min_cost_max_flow_bcc(net, instance, options).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,7 +302,7 @@ mod tests {
         let inst = diamond();
         let baseline = ssp_min_cost_max_flow(&inst);
         let mut net = Network::clique(ModelConfig::bcc(), inst.graph.n());
-        let result = min_cost_max_flow_bcc(&mut net, &inst, &McmfOptions::default());
+        let result = try_min_cost_max_flow_bcc(&mut net, &inst, &McmfOptions::default()).unwrap();
         assert!(result.rounded_feasible);
         assert_eq!(result.flow.value, baseline.value);
         assert_eq!(result.flow.cost, baseline.cost);
@@ -330,7 +320,7 @@ mod tests {
             strategy: WeightStrategyChoice::Uniform,
             ..McmfOptions::default()
         };
-        let result = min_cost_max_flow_bcc(&mut net, &inst, &options);
+        let result = try_min_cost_max_flow_bcc(&mut net, &inst, &options).unwrap();
         assert!(result.rounded_feasible);
         assert_eq!(result.flow.value, baseline.value);
         assert_eq!(result.flow.cost, baseline.cost);
@@ -349,7 +339,7 @@ mod tests {
                 seed: 100 + trial,
                 ..McmfOptions::default()
             };
-            let result = min_cost_max_flow_bcc(&mut net, &inst, &options);
+            let result = try_min_cost_max_flow_bcc(&mut net, &inst, &options).unwrap();
             assert!(
                 result.rounded_feasible,
                 "trial {trial} rounded flow infeasible"

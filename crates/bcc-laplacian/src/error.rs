@@ -1,11 +1,9 @@
 //! Typed errors of the Laplacian solver.
 
-/// Errors raised by the Laplacian solver on malformed input.
-///
-/// The panicking entry points ([`crate::LaplacianSolver::preprocess`],
-/// [`crate::LaplacianSolver::solve`]) are thin wrappers over the fallible
-/// `try_*` variants that surface these values; new code — in particular the
-/// `bcc_core::Session` facade — should call the fallible variants.
+/// Errors raised by the Laplacian solver on malformed input: every entry
+/// point ([`crate::LaplacianSolver::try_preprocess`],
+/// [`crate::LaplacianSolver::try_solve`], [`crate::solve_sdd`], …) returns
+/// them instead of panicking.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LaplacianError {
     /// The input graph is disconnected; the solver's error guarantee is

@@ -20,11 +20,12 @@
 //! use bcc_runtime::{ModelConfig, Network};
 //!
 //! let g = generators::grid(3, 3);
-//! let solver = LaplacianSolver::exact_preconditioner(&g);
+//! let solver = LaplacianSolver::try_exact_preconditioner(&g)?;
 //! let b = vector::remove_mean(&(0..9).map(|i| i as f64).collect::<Vec<_>>());
 //! let mut net = Network::clique(ModelConfig::bcc(), 9);
-//! let solve = solver.solve(&mut net, &b, 1e-6);
+//! let solve = solver.try_solve(&mut net, &b, 1e-6)?;
 //! assert!(solver.relative_error(&b, &solve.solution) < 1e-5);
+//! # Ok::<(), bcc_laplacian::LaplacianError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -22,6 +22,7 @@ use bcc_graph::Graph;
 use bcc_runtime::Network;
 use bcc_sparsifier::SparsifierConfig;
 
+use crate::error::LaplacianError;
 use crate::solver::LaplacianSolver;
 
 /// A symmetric diagonally dominant matrix stored as symmetric COO triplets.
@@ -183,47 +184,50 @@ pub enum SddSolveMode {
 /// The virtual `2n`-vertex network is simulated by the `n` physical vertices;
 /// the extra factor-of-two rounds are charged explicitly.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the Gremban graph is disconnected (for the flow LP matrices of
-/// Section 5 the excess diagonal is strictly positive, which makes the graph
-/// connected).
+/// * [`LaplacianError::DimensionMismatch`] — `b` does not have length `n`.
+/// * [`LaplacianError::Disconnected`] — the Gremban graph is disconnected
+///   (for the flow LP matrices of Section 5 the excess diagonal is strictly
+///   positive, which makes it connected; a diagonal matrix does not).
+/// * [`LaplacianError::InvalidEpsilon`] — `epsilon` is not positive.
 pub fn solve_sdd(
     net: &mut Network,
     matrix: &SddMatrix,
     b: &[f64],
     epsilon: f64,
     mode: &SddSolveMode,
-) -> Vec<f64> {
-    assert_eq!(b.len(), matrix.n(), "dimension mismatch");
+) -> Result<Vec<f64>, LaplacianError> {
+    if b.len() != matrix.n() {
+        return Err(LaplacianError::DimensionMismatch {
+            expected: matrix.n(),
+            actual: b.len(),
+        });
+    }
     let gremban = matrix.gremban_graph();
-    assert!(
-        gremban.is_connected(),
-        "the Gremban graph must be connected; solve pure Laplacian systems directly instead"
-    );
     // The 2n virtual vertices live on a virtual network; physical vertex i
     // simulates virtual vertices i and i + n, so every virtual round costs two
     // physical rounds, charged below.
     let mut virtual_net = Network::clique(net.config(), gremban.n());
     let solver = match mode {
         SddSolveMode::Full(config) => {
-            LaplacianSolver::preprocess(&mut virtual_net, &gremban, config)
+            LaplacianSolver::try_preprocess(&mut virtual_net, &gremban, config)?
         }
-        SddSolveMode::ExactPreconditioner => LaplacianSolver::exact_preconditioner(&gremban),
+        SddSolveMode::ExactPreconditioner => LaplacianSolver::try_exact_preconditioner(&gremban)?,
     };
     // Right-hand side [b; -b].
     let mut rhs = b.to_vec();
     rhs.extend(b.iter().map(|v| -v));
-    let solve = solver.solve(&mut virtual_net, &rhs, epsilon.min(0.5));
+    let solve = solver.try_solve(&mut virtual_net, &rhs, epsilon.min(0.5))?;
     let virtual_rounds = virtual_net.ledger().total_rounds();
     let virtual_bits = virtual_net.ledger().total_bits();
     net.begin_phase("sdd solve (gremban)");
     net.ledger_mut().charge(2 * virtual_rounds, virtual_bits);
 
     let n = matrix.n();
-    (0..n)
+    Ok((0..n)
         .map(|i| (solve.solution[i] - solve.solution[i + n]) / 2.0)
-        .collect()
+        .collect())
 }
 
 /// Centralized exact SDD solve (dense), used as ground truth in tests.
@@ -318,7 +322,7 @@ mod tests {
         assert!(vector::approx_eq(&exact, &x_true, 1e-8));
 
         let mut net = Network::clique(ModelConfig::bcc(), 8);
-        let approx = solve_sdd(&mut net, &m, &b, 1e-6, &SddSolveMode::ExactPreconditioner);
+        let approx = solve_sdd(&mut net, &m, &b, 1e-6, &SddSolveMode::ExactPreconditioner).unwrap();
         assert!(
             vector::approx_eq(&approx, &x_true, 1e-3),
             "{approx:?} vs {x_true:?}"
@@ -337,7 +341,7 @@ mod tests {
             .with_t(6)
             .with_k(2);
         let mut net = Network::clique(ModelConfig::bcc(), 6);
-        let approx = solve_sdd(&mut net, &m, &b, 1e-5, &SddSolveMode::Full(cfg));
+        let approx = solve_sdd(&mut net, &m, &b, 1e-5, &SddSolveMode::Full(cfg)).unwrap();
         assert!(
             vector::approx_eq(&approx, &x_true, 1e-2),
             "{approx:?} vs {x_true:?}"
@@ -351,7 +355,28 @@ mod tests {
         let b = vec![4.0, 2.0];
         let exact = exact_sdd_solve(&m, &b);
         let mut net = Network::clique(ModelConfig::bcc(), 2);
-        let approx = solve_sdd(&mut net, &m, &b, 1e-6, &SddSolveMode::ExactPreconditioner);
+        let approx = solve_sdd(&mut net, &m, &b, 1e-6, &SddSolveMode::ExactPreconditioner).unwrap();
         assert!(vector::approx_eq(&approx, &exact, 1e-4));
+    }
+
+    #[test]
+    fn malformed_systems_are_typed_errors() {
+        let mut net = Network::clique(ModelConfig::bcc(), 2);
+        let mode = SddSolveMode::ExactPreconditioner;
+        // A diagonal matrix has an edgeless, hence disconnected, Gremban graph.
+        let diagonal = SddMatrix::from_triplets(2, [(0, 0, 1.0), (1, 1, 2.0)]).unwrap();
+        assert_eq!(
+            solve_sdd(&mut net, &diagonal, &[1.0, 1.0], 1e-6, &mode),
+            Err(LaplacianError::Disconnected)
+        );
+        let m = strictly_dominant(2, 10);
+        assert_eq!(
+            solve_sdd(&mut net, &m, &[1.0], 1e-6, &mode),
+            Err(LaplacianError::DimensionMismatch {
+                expected: 2,
+                actual: 1
+            })
+        );
+        assert_eq!(net.ledger().total_rounds(), 0);
     }
 }

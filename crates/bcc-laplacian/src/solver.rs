@@ -17,7 +17,7 @@
 use bcc_graph::{laplacian, Graph};
 use bcc_linalg::{chebyshev, vector, DenseMatrix, FactoredPsd, SolveScratch};
 use bcc_runtime::{payload, Network};
-use bcc_sparsifier::{quality, sparsify_ad_hoc, SparsifierConfig, SparsifierOutput};
+use bcc_sparsifier::{quality, try_sparsify_ad_hoc, SparsifierConfig, SparsifierError};
 
 use crate::error::LaplacianError;
 
@@ -137,7 +137,15 @@ impl LaplacianSolver {
         }
         let rounds_before = net.ledger().total_rounds();
         net.begin_phase("laplacian preprocessing");
-        let SparsifierOutput { sparsifier, .. } = sparsify_ad_hoc(net, graph, config);
+        let sparsifier = match try_sparsify_ad_hoc(net, graph, config) {
+            Ok(output) => output.sparsifier,
+            // Connected without edges means at most one vertex: the graph is
+            // its own sparsifier and there is nothing to broadcast.
+            Err(SparsifierError::EmptyGraph) => graph.clone(),
+            Err(SparsifierError::NetworkSizeMismatch { network, graph }) => {
+                return Err(LaplacianError::NetworkSizeMismatch { network, graph })
+            }
+        };
         let preprocessing_rounds = net.ledger().total_rounds() - rounds_before;
         let scaled = sparsifier.map_weights(|e| 1.5 * e.weight);
         let preconditioner = DenseMatrix::from_rows(&laplacian::laplacian_dense(&scaled));
@@ -150,16 +158,6 @@ impl LaplacianSolver {
             preconditioner,
             preprocessing_rounds,
         })
-    }
-
-    /// Panicking variant of [`LaplacianSolver::try_preprocess`], kept for the
-    /// pre-`Session` API.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph is disconnected or the network size is wrong.
-    pub fn preprocess(net: &mut Network, graph: &Graph, config: &SparsifierConfig) -> Self {
-        Self::try_preprocess(net, graph, config).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Builds a solver whose "sparsifier" is the graph itself (no
@@ -184,15 +182,6 @@ impl LaplacianSolver {
             preconditioner,
             preprocessing_rounds: 0,
         })
-    }
-
-    /// Panicking variant of [`LaplacianSolver::try_exact_preconditioner`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph is disconnected.
-    pub fn exact_preconditioner(graph: &Graph) -> Self {
-        Self::try_exact_preconditioner(graph).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The sparsifier computed during preprocessing.
@@ -289,17 +278,6 @@ impl LaplacianSolver {
             });
         }
         Ok(self.solve_unchecked_into(net, b, epsilon, arena, out))
-    }
-
-    /// Panicking variant of [`LaplacianSolver::try_solve`], kept for the
-    /// pre-`Session` API.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epsilon` is not in `(0, 1/2]` or `b` has the wrong length.
-    pub fn solve(&self, net: &mut Network, b: &[f64], epsilon: f64) -> LaplacianSolve {
-        self.try_solve(net, b, epsilon)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn solve_unchecked_into(
@@ -420,11 +398,11 @@ mod tests {
     #[test]
     fn exact_preconditioner_reaches_requested_accuracy() {
         let g = generators::grid(4, 4);
-        let solver = LaplacianSolver::exact_preconditioner(&g);
+        let solver = LaplacianSolver::try_exact_preconditioner(&g).unwrap();
         let b = random_rhs(g.n(), 1);
         let mut net = bcc_net(g.n());
         for eps in [0.5f64, 1e-2, 1e-6] {
-            let solve = solver.solve(&mut net, &b, eps.min(0.5));
+            let solve = solver.try_solve(&mut net, &b, eps.min(0.5)).unwrap();
             let err = solver.relative_error(&b, &solve.solution);
             assert!(err <= eps * 1.01, "eps {eps}: error {err}");
         }
@@ -433,11 +411,11 @@ mod tests {
     #[test]
     fn iteration_count_grows_logarithmically_in_accuracy() {
         let g = generators::grid(3, 5);
-        let solver = LaplacianSolver::exact_preconditioner(&g);
+        let solver = LaplacianSolver::try_exact_preconditioner(&g).unwrap();
         let b = random_rhs(g.n(), 2);
         let mut net = bcc_net(g.n());
-        let coarse = solver.solve(&mut net, &b, 0.5);
-        let fine = solver.solve(&mut net, &b, 1e-8);
+        let coarse = solver.try_solve(&mut net, &b, 0.5).unwrap();
+        let fine = solver.try_solve(&mut net, &b, 1e-8).unwrap();
         assert!(fine.iterations > coarse.iterations);
         // O(log(1/eps)): 1e-8 needs ~ 19/0.7 extra iterations over 0.5, i.e.
         // well under 10x.
@@ -452,11 +430,11 @@ mod tests {
             .with_t(8)
             .with_k(2);
         let mut net = bcc_net(g.n());
-        let solver = LaplacianSolver::preprocess(&mut net, &g, &cfg);
+        let solver = LaplacianSolver::try_preprocess(&mut net, &g, &cfg).unwrap();
         assert!(solver.preprocessing_rounds() > 0);
         assert!(solver.sparsifier().is_connected());
         let b = random_rhs(g.n(), 4);
-        let solve = solver.solve(&mut net, &b, 1e-4);
+        let solve = solver.try_solve(&mut net, &b, 1e-4).unwrap();
         let err = solver.relative_error(&b, &solve.solution);
         assert!(err <= 1e-3, "error {err}");
         assert!(solve.rounds > 0);
@@ -465,11 +443,11 @@ mod tests {
     #[test]
     fn solve_rounds_scale_with_log_accuracy_not_n() {
         let g = generators::complete(32);
-        let solver = LaplacianSolver::exact_preconditioner(&g);
+        let solver = LaplacianSolver::try_exact_preconditioner(&g).unwrap();
         let b = random_rhs(g.n(), 5);
         let mut net = bcc_net(g.n());
         let before = net.ledger().total_rounds();
-        let _ = solver.solve(&mut net, &b, 1e-4);
+        solver.try_solve(&mut net, &b, 1e-4).unwrap();
         let rounds = net.ledger().total_rounds() - before;
         // Far below n (which a gather-everything approach would need m rounds for).
         assert!(rounds < 600, "rounds = {rounds}");
@@ -478,10 +456,10 @@ mod tests {
     #[test]
     fn solution_is_mean_zero_and_matches_cg_baseline() {
         let g = generators::grid(4, 5);
-        let solver = LaplacianSolver::exact_preconditioner(&g);
+        let solver = LaplacianSolver::try_exact_preconditioner(&g).unwrap();
         let b = random_rhs(g.n(), 6);
         let mut net = bcc_net(g.n());
-        let solve = solver.solve(&mut net, &b, 1e-8);
+        let solve = solver.try_solve(&mut net, &b, 1e-8).unwrap();
         assert!(solve.solution.iter().sum::<f64>().abs() < 1e-8);
         let cg = cg_baseline(&g, &b, 1e-10);
         assert!(cg.converged);
@@ -502,18 +480,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn disconnected_graph_is_rejected() {
         let g = Graph::from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]);
-        let _ = LaplacianSolver::exact_preconditioner(&g);
+        assert_eq!(
+            LaplacianSolver::try_exact_preconditioner(&g).unwrap_err(),
+            LaplacianError::Disconnected
+        );
     }
 
     #[test]
-    #[should_panic]
     fn epsilon_above_half_is_rejected() {
         let g = generators::cycle(5);
-        let solver = LaplacianSolver::exact_preconditioner(&g);
+        let solver = LaplacianSolver::try_exact_preconditioner(&g).unwrap();
         let mut net = bcc_net(5);
-        let _ = solver.solve(&mut net, &[0.0; 5], 0.9);
+        assert_eq!(
+            solver.try_solve(&mut net, &[0.0; 5], 0.9).unwrap_err(),
+            LaplacianError::InvalidEpsilon { epsilon: 0.9 }
+        );
     }
 }

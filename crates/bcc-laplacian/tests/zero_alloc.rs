@@ -55,7 +55,7 @@ fn mean_zero_rhs(n: usize, seed: u64) -> Vec<f64> {
 #[test]
 fn warm_solve_performs_zero_heap_allocations() {
     let g = generators::random_connected(24, 0.3, 8, &mut ChaCha8Rng::seed_from_u64(11));
-    let solver = LaplacianSolver::exact_preconditioner(&g);
+    let solver = LaplacianSolver::try_exact_preconditioner(&g).unwrap();
     let mut net = Network::clique(ModelConfig::bcc(), g.n());
     let b = mean_zero_rhs(g.n(), 7);
 
@@ -86,7 +86,7 @@ fn warm_solve_performs_zero_heap_allocations() {
 #[test]
 fn warm_solves_stay_allocation_free_across_distinct_right_hand_sides() {
     let g = generators::grid(5, 5);
-    let solver = LaplacianSolver::exact_preconditioner(&g);
+    let solver = LaplacianSolver::try_exact_preconditioner(&g).unwrap();
     let mut net = Network::clique(ModelConfig::bcc(), g.n());
 
     let mut arena = ScratchArena::new();

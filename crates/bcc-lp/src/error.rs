@@ -1,11 +1,7 @@
 //! Typed errors of the LP solver.
 
-/// Errors raised by the LP solver on malformed instances or starting points.
-///
-/// The panicking [`crate::lp_solve`] is a thin wrapper over
-/// [`crate::try_lp_solve`], which surfaces these values; new code — in
-/// particular the `bcc_core::Session` facade — should call the fallible
-/// variant.
+/// Errors raised by the LP solver on malformed instances or starting points;
+/// [`crate::try_lp_solve`] returns them instead of panicking.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LpError {
     /// The instance is dimensionally inconsistent or has invalid bounds.

@@ -97,17 +97,6 @@ impl LpInstance {
         Ok(())
     }
 
-    /// Panicking variant of [`LpInstance::try_validate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with a descriptive message when the instance is malformed.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
     /// The objective value `cᵀx`.
     pub fn objective(&self, x: &[f64]) -> f64 {
         x.iter().zip(&self.c).map(|(xi, ci)| xi * ci).sum()
@@ -178,7 +167,7 @@ mod tests {
     #[test]
     fn dimensions_and_objective() {
         let lp = tiny();
-        lp.validate();
+        assert_eq!(lp.try_validate(), Ok(()));
         assert_eq!(lp.m(), 2);
         assert_eq!(lp.n(), 1);
         assert_eq!(lp.objective(&[0.25, 0.75]), 1.0);
@@ -204,19 +193,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn validate_rejects_inverted_bounds() {
         let mut lp = tiny();
         lp.lower[0] = 2.0;
-        lp.validate();
+        assert_eq!(
+            lp.try_validate(),
+            Err(LpError::MalformedInstance(
+                "variable 0: lower bound 2 is not below upper bound 1".to_string()
+            ))
+        );
     }
 
     #[test]
-    #[should_panic]
     fn validate_rejects_fully_free_variables() {
         let mut lp = tiny();
         lp.lower[0] = f64::NEG_INFINITY;
         lp.upper[0] = f64::INFINITY;
-        lp.validate();
+        assert_eq!(
+            lp.try_validate(),
+            Err(LpError::MalformedInstance(
+                "variable 0 has no finite bound".to_string()
+            ))
+        );
     }
 }

@@ -8,7 +8,7 @@
 //!   sampling step is trivial in the (unicast) CONGEST model but not in a
 //!   broadcast model; the variant serves as the reference for the
 //!   distributional-equivalence experiment (Lemma 3.3 / experiment E2).
-//! * [`sparsify_ad_hoc`] — Algorithm 5, the paper's Broadcast CONGEST
+//! * [`try_sparsify_ad_hoc`] — Algorithm 5, the paper's Broadcast CONGEST
 //!   algorithm: the probability that an edge still exists is *maintained*
 //!   (divided by 4 whenever the edge survives outside a bundle) and the edge
 //!   is only actually sampled when some vertex wants to use it inside the
@@ -88,8 +88,12 @@ impl<'a> Driver<'a> {
     }
 }
 
-/// Fallible variant of [`sparsify_ad_hoc`]: validates the input before
-/// charging any rounds.
+/// Algorithm 5: spectral sparsification with ad-hoc sampling in the Broadcast
+/// CONGEST model (Theorem 1.2). The input is validated before any round is
+/// charged.
+///
+/// Rounds are charged on `net` (the bundle-spanner calls dominate,
+/// `O(log⁵(n)/ε² · log(nU/ε))` with the paper's constants).
 ///
 /// # Errors
 ///
@@ -110,19 +114,6 @@ pub fn try_sparsify_ad_hoc(
     if graph.m() == 0 {
         return Err(SparsifierError::EmptyGraph);
     }
-    Ok(sparsify_ad_hoc(net, graph, config))
-}
-
-/// Algorithm 5: spectral sparsification with ad-hoc sampling in the Broadcast
-/// CONGEST model (Theorem 1.2).
-///
-/// Rounds are charged on `net` (the bundle-spanner calls dominate,
-/// `O(log⁵(n)/ε² · log(nU/ε))` with the paper's constants).
-pub fn sparsify_ad_hoc(
-    net: &mut Network,
-    graph: &Graph,
-    config: &SparsifierConfig,
-) -> SparsifierOutput {
     let n = graph.n();
     let m = graph.m();
     let mut driver = Driver::new(graph);
@@ -199,7 +190,7 @@ pub fn sparsify_ad_hoc(
     net.share_varying(&announce_counts, 2 * id_bits + weight_bits);
 
     kept.sort_unstable_by_key(|&(e, _)| e);
-    driver.finish(kept)
+    Ok(driver.finish(kept))
 }
 
 /// Algorithm 4: the a-priori sampling reference (Koutis–Xu with the fixed-`t`
@@ -305,7 +296,7 @@ mod tests {
             .with_t(6)
             .with_k(2);
         let mut net = bc_network(&g);
-        let out = sparsify_ad_hoc(&mut net, &g, &cfg);
+        let out = try_sparsify_ad_hoc(&mut net, &g, &cfg).unwrap();
         assert!(out.sparsifier.is_connected());
         assert!(out.sparsifier.m() <= g.m());
         let (lo, hi) = approximation_bounds(&g, &out.sparsifier);
@@ -337,7 +328,7 @@ mod tests {
             .with_k(2)
             .with_iterations(2);
         let mut net = bc_network(&g);
-        let out = sparsify_ad_hoc(&mut net, &g, &cfg);
+        let out = try_sparsify_ad_hoc(&mut net, &g, &cfg).unwrap();
         // With t far above m the bundle swallows every edge and the
         // sparsifier is the graph itself, exactly.
         assert_eq!(out.sparsifier.m(), g.m());
@@ -353,7 +344,7 @@ mod tests {
             .with_k(3)
             .with_iterations(4);
         let mut net = bc_network(&g);
-        let out = sparsify_ad_hoc(&mut net, &g, &cfg);
+        let out = try_sparsify_ad_hoc(&mut net, &g, &cfg).unwrap();
         assert!(
             out.sparsifier.m() < 3 * g.m() / 4,
             "expected reduction, got {} of {}",
@@ -370,7 +361,7 @@ mod tests {
             .with_t(2)
             .with_k(2);
         let mut net = bc_network(&g);
-        let out = sparsify_ad_hoc(&mut net, &g, &cfg);
+        let out = try_sparsify_ad_hoc(&mut net, &g, &cfg).unwrap();
         assert_eq!(out.edge_origin.len(), out.sparsifier.m());
         assert_eq!(out.added_by.len(), out.sparsifier.m());
         for (i, &orig) in out.edge_origin.iter().enumerate() {
@@ -403,7 +394,7 @@ mod tests {
         for seed in 0..5u64 {
             let cfg = SparsifierConfig { seed, ..cfg };
             let mut net = bc_network(&g);
-            let out = sparsify_ad_hoc(&mut net, &g, &cfg);
+            let out = try_sparsify_ad_hoc(&mut net, &g, &cfg).unwrap();
             assert!(
                 out.sparsifier.is_connected(),
                 "seed {seed} disconnected the barbell"

@@ -159,7 +159,8 @@ pub fn e2_equivalence(trials: usize, seed: u64) -> Table {
         };
         let mut net1 =
             Network::on_graph(ModelConfig::broadcast_congest(), g.adjacency_lists()).unwrap();
-        let adhoc = bcc_core::sparsifier::sparsify_ad_hoc(&mut net1, &g, &cfg_t);
+        let adhoc =
+            try_sparsify_ad_hoc(&mut net1, &g, &cfg_t).expect("the complete graph has edges");
         let mut net2 =
             Network::on_graph(ModelConfig::broadcast_congest(), g.adjacency_lists()).unwrap();
         let apriori = bcc_core::sparsifier::sparsify_a_priori(&mut net2, &g, &cfg_t);
@@ -228,7 +229,8 @@ pub fn e3_sparsifier(sizes: &[usize], epsilons: &[f64], seed: u64) -> Table {
                 let mut net =
                     Network::on_graph(ModelConfig::broadcast_congest(), g.adjacency_lists())
                         .unwrap();
-                let out = bcc_core::sparsifier::sparsify_ad_hoc(&mut net, &g, &cfg);
+                let out = try_sparsify_ad_hoc(&mut net, &g, &cfg)
+                    .expect("connected experiment graphs have edges");
                 let achieved = bcc_core::sparsifier::quality::achieved_epsilon(&g, &out.sparsifier);
                 table.push(vec![
                     name.into(),
@@ -265,11 +267,13 @@ pub fn e4_laplacian(seed: u64) -> Table {
             .with_t(6)
             .with_k(2);
         let mut net = Network::clique(ModelConfig::bcc(), g.n());
-        let solver = LaplacianSolver::preprocess(&mut net, &g, &cfg);
+        let solver = LaplacianSolver::try_preprocess(&mut net, &g, &cfg).expect("connected graph");
         let raw: Vec<f64> = (0..g.n()).map(|_| rng.gen::<f64>() - 0.5).collect();
         let b = vector::remove_mean(&raw);
         for eps in [0.5, 1e-2, 1e-4, 1e-8] {
-            let solve = solver.solve(&mut net, &b, eps);
+            let solve = solver
+                .try_solve(&mut net, &b, eps)
+                .expect("eps in (0, 1/2]");
             let err = solver.relative_error(&b, &solve.solution);
             table.push(vec![
                 name.into(),
@@ -449,13 +453,14 @@ pub fn e8_lp_iterations(sizes: &[usize], seed: u64) -> Table {
                 options.path.weight_refresh_sweeps = 1;
             }
             let mut net = Network::clique(ModelConfig::bcc(), instance.graph.n());
-            let solution = lp_solve(
+            let solution = try_lp_solve(
                 &mut net,
                 &flow_lp.lp,
                 &flow_lp.interior_point,
                 &options,
                 &solver,
-            );
+            )
+            .expect("the Section-5 encoding is well-formed with an interior start");
             iterations.push(solution.path_iterations());
         }
         table.push(vec![
@@ -493,14 +498,15 @@ pub fn e9_flow(sizes: &[usize], seed: u64) -> Table {
         let instance = generators::random_flow_instance(v, 0.25, 3, &mut rng);
         let baseline = ssp_min_cost_max_flow(&instance);
         let mut net = Network::clique(ModelConfig::bcc(), instance.graph.n());
-        let result = bcc_core::flow::min_cost_max_flow_bcc(
+        let result = try_min_cost_max_flow_bcc(
             &mut net,
             &instance,
             &McmfOptions {
                 seed,
                 ..McmfOptions::default()
             },
-        );
+        )
+        .expect("generated flow instances have arcs");
         let exact = result.flow.value == baseline.value && result.flow.cost == baseline.cost;
         table.push(vec![
             v.to_string(),
@@ -637,7 +643,7 @@ pub fn a1_bundle_ablation(seed: u64) -> Table {
             .with_k(3);
         let mut net1 =
             Network::on_graph(ModelConfig::broadcast_congest(), g.adjacency_lists()).unwrap();
-        let fixed = bcc_core::sparsifier::sparsify_ad_hoc(&mut net1, &g, &base);
+        let fixed = try_sparsify_ad_hoc(&mut net1, &g, &base).expect("connected graph");
         // "Growing t": emulate Koutis–Xu by using t scaled with the iteration
         // count (a larger constant bundle here).
         let grown = SparsifierConfig {
@@ -646,7 +652,7 @@ pub fn a1_bundle_ablation(seed: u64) -> Table {
         };
         let mut net2 =
             Network::on_graph(ModelConfig::broadcast_congest(), g.adjacency_lists()).unwrap();
-        let growing = bcc_core::sparsifier::sparsify_ad_hoc(&mut net2, &g, &grown);
+        let growing = try_sparsify_ad_hoc(&mut net2, &g, &grown).expect("connected graph");
         table.push(vec![
             n.to_string(),
             g.m().to_string(),

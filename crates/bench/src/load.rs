@@ -484,10 +484,7 @@ pub struct RampProbe {
 /// One step of the splitmix64 stream — the harness's only randomness.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    bcc_core::runtime::shared_rand::splitmix64(*state)
 }
 
 /// A derived stream seed, mixing a purpose tag and an index into the master

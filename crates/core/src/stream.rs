@@ -815,8 +815,8 @@ impl StreamEngine {
     /// [`StreamClient`] for incremental submission and collection, and on
     /// closure return drains every admitted submission before aggregating.
     /// If the closure panics, the engine still shuts the workers down
-    /// cleanly, then resumes the panic. If a *worker* panics (only reachable
-    /// through a bug or a legacy panicking path below the typed API), the
+    /// cleanly, then resumes the panic. If a *worker* panics (reachable only
+    /// through a bug: every malformed input is a typed error), the
     /// scope is poisoned: blocked `wait`/`submit` calls panic instead of
     /// hanging, and the panic propagates out of `serve`.
     pub fn serve<T>(&mut self, f: impl FnOnce(&StreamClient<'_>) -> T) -> StreamOutput<T> {
@@ -1353,8 +1353,7 @@ fn worker_loop(shared: &Shared<'_>, id: usize) {
             Work::Run(job) => job,
         };
         // Malformed input surfaces as a typed `Err` result; a panic here is
-        // reachable only through a bug or a legacy panicking path below the
-        // typed API. Poison the scope before re-panicking so a client
+        // reachable only through a bug. Poison the scope before re-panicking so a client
         // blocked in `wait`/`submit` fails loudly instead of hanging, then
         // let `thread::scope` propagate the panic out of `serve`.
         let started = shared.clock.now();

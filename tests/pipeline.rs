@@ -2,9 +2,6 @@
 //! (spanner → sparsifier → Laplacian solver → LP solver → min-cost max-flow)
 //! exercised end-to-end on seeded random instances.
 
-// The legacy free functions stay under test until they are removed.
-#![allow(deprecated)]
-
 use bcc_core::prelude::*;
 use bcc_core::{graph::generators, linalg::vector, sparsifier::quality};
 use rand::SeedableRng;
@@ -25,20 +22,32 @@ fn spanner_feeds_sparsifier_feeds_laplacian_solver() {
     ));
 
     // Stage 2: a spectral sparsifier (Broadcast CONGEST), certified.
-    let (sparsifier, sparsifier_report) = bcc_core::spectral_sparsify(&graph, 0.5, 3);
+    let sparsified = Session::builder()
+        .seed(3)
+        .build()
+        .sparsify(&graph, 0.5)
+        .unwrap();
+    let sparsifier = sparsified.value.sparsifier;
     assert!(sparsifier.is_connected());
     let eps = quality::achieved_epsilon(&graph, &sparsifier);
     assert!(
         eps.is_finite(),
         "sparsifier must spectrally dominate the graph"
     );
-    assert!(sparsifier_report.total_rounds > 0);
+    assert!(sparsified.report.total_rounds > 0);
 
     // Stage 3: Laplacian solve (BCC) against the dense ground truth.
     let mut b = vec![0.0; graph.n()];
     b[3] = 2.0;
     b[17] = -2.0;
-    let (x, _) = bcc_core::solve_laplacian_bcc(&graph, &b, 1e-8, 4);
+    let mut prepared = Session::builder()
+        .seed(4)
+        .build()
+        .laplacian(&graph)
+        .epsilon(1e-8)
+        .preprocess()
+        .unwrap();
+    let x = prepared.solve(&b).unwrap().value.solution;
     let exact = bcc_core::laplacian::exact_solve(&graph, &b);
     let diff = vector::sub(&x, &exact);
     let rel = bcc_core::graph::laplacian::laplacian_norm(&graph, &diff)
@@ -51,7 +60,12 @@ fn full_flow_pipeline_matches_the_combinatorial_baseline() {
     let mut rng = ChaCha8Rng::seed_from_u64(99);
     let instance = generators::random_flow_instance(6, 0.3, 3, &mut rng);
     let baseline = ssp_min_cost_max_flow(&instance);
-    let (result, report) = bcc_core::min_cost_max_flow_bcc(&instance, 5);
+    let outcome = Session::builder()
+        .seed(5)
+        .build()
+        .min_cost_max_flow(&instance)
+        .unwrap();
+    let (result, report) = (outcome.value, outcome.report);
     assert!(result.rounded_feasible);
     assert_eq!(result.flow.value, baseline.value);
     assert_eq!(result.flow.cost, baseline.cost);
@@ -74,10 +88,12 @@ fn round_counts_scale_sublinearly_in_the_number_of_edges() {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let sparse = generators::random_connected(40, 0.1, 4, &mut rng);
     let dense = generators::random_connected(40, 0.8, 4, &mut rng);
-    let (_, sparse_report) = bcc_core::spectral_sparsify(&sparse, 0.5, 1);
-    let (_, dense_report) = bcc_core::spectral_sparsify(&dense, 0.5, 1);
+    let rounds = |graph: &Graph| {
+        let mut session = Session::builder().seed(1).build();
+        session.sparsify(graph, 0.5).unwrap().report.total_rounds
+    };
     let edge_ratio = dense.m() as f64 / sparse.m() as f64;
-    let round_ratio = dense_report.total_rounds as f64 / sparse_report.total_rounds as f64;
+    let round_ratio = rounds(&dense) as f64 / rounds(&sparse) as f64;
     assert!(edge_ratio > 3.0, "edge ratio {edge_ratio}");
     assert!(
         round_ratio < edge_ratio / 1.5,
@@ -94,17 +110,17 @@ fn laplacian_solver_handles_multiple_right_hand_sides_cheaply() {
         .with_t(6)
         .with_k(2);
     let mut net = Network::clique(ModelConfig::bcc(), graph.n());
-    let solver = LaplacianSolver::preprocess(&mut net, &graph, &cfg);
+    let solver = LaplacianSolver::try_preprocess(&mut net, &graph, &cfg).unwrap();
     let preprocessing = solver.preprocessing_rounds();
 
     let mut b1 = vec![0.0; graph.n()];
     b1[0] = 1.0;
     b1[24] = -1.0;
-    let solve1 = solver.solve(&mut net, &b1, 1e-6);
+    let solve1 = solver.try_solve(&mut net, &b1, 1e-6).unwrap();
     let mut b2 = vec![0.0; graph.n()];
     b2[4] = 1.0;
     b2[20] = -1.0;
-    let solve2 = solver.solve(&mut net, &b2, 1e-6);
+    let solve2 = solver.try_solve(&mut net, &b2, 1e-6).unwrap();
 
     assert!(solve1.rounds < preprocessing);
     assert!(solve2.rounds < preprocessing);

@@ -34,7 +34,7 @@ proptest! {
     fn sparsifier_spectrally_dominates_and_stays_connected(g in graph_strategy(), seed in any::<u64>()) {
         let cfg = SparsifierConfig::laboratory(g.n(), g.m().max(2), 0.5, seed).with_t(4).with_k(2);
         let mut net = Network::on_graph(ModelConfig::broadcast_congest(), g.adjacency_lists()).unwrap();
-        let out = sparsify_ad_hoc(&mut net, &g, &cfg);
+        let out = try_sparsify_ad_hoc(&mut net, &g, &cfg).unwrap();
         prop_assert!(out.sparsifier.is_connected());
         let eps = bcc_core::sparsifier::quality::achieved_epsilon(&g, &out.sparsifier);
         prop_assert!(eps.is_finite());
@@ -51,10 +51,10 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let raw: Vec<f64> = (0..g.n()).map(|_| rng.gen::<f64>() - 0.5).collect();
         let b = vector::remove_mean(&raw);
-        let solver = LaplacianSolver::exact_preconditioner(&g);
+        let solver = LaplacianSolver::try_exact_preconditioner(&g).unwrap();
         let mut net = Network::clique(ModelConfig::bcc(), g.n());
         for eps in [0.25, 1e-3] {
-            let solve = solver.solve(&mut net, &b, eps);
+            let solve = solver.try_solve(&mut net, &b, eps).unwrap();
             let err = solver.relative_error(&b, &solve.solution);
             prop_assert!(err <= eps * 1.05, "eps {} err {}", eps, err);
         }
@@ -92,7 +92,8 @@ proptest! {
             &b,
             1e-8,
             &bcc_core::laplacian::SddSolveMode::ExactPreconditioner,
-        );
+        )
+        .unwrap();
         prop_assert!(vector::approx_eq(&x, &x_true, 1e-3), "{:?} vs {:?}", x, x_true);
     }
 

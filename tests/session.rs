@@ -1,66 +1,9 @@
-//! Integration tests of the `bcc_core::Session` API: equivalence with the
-//! legacy free functions, typed error paths on malformed input, and the
-//! preprocess-once / solve-many amortization of Theorem 1.3.
-
-// The deprecated free functions stay under test until they are removed:
-// these suites prove `Session` is bit-identical to them.
-#![allow(deprecated)]
+//! Integration tests of the `bcc_core::Session` API: typed error paths on
+//! malformed input and the preprocess-once / solve-many amortization of
+//! Theorem 1.3.
 
 use bcc_core::prelude::*;
-use bcc_core::{graph::generators, Error};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
-// ---------------------------------------------------------------------------
-// Equivalence: the legacy free functions are wrappers over `Session`, so at
-// equal seeds the results must be bit-identical.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn session_sparsify_is_bit_identical_to_the_legacy_function() {
-    let mut rng = ChaCha8Rng::seed_from_u64(11);
-    let graph = generators::random_connected(30, 0.4, 6, &mut rng);
-    for seed in [1u64, 7, 2022] {
-        let (legacy, legacy_report) = bcc_core::spectral_sparsify(&graph, 0.5, seed);
-        let mut session = Session::builder().seed(seed).build();
-        let outcome = session.sparsify(&graph, 0.5).unwrap();
-        assert_eq!(outcome.value.sparsifier, legacy, "seed {seed}");
-        assert_eq!(outcome.report, legacy_report, "seed {seed}");
-    }
-}
-
-#[test]
-fn session_laplacian_is_bit_identical_to_the_legacy_function() {
-    let graph = generators::grid(5, 4);
-    let mut b = vec![0.0; graph.n()];
-    b[0] = 2.0;
-    b[19] = -2.0;
-    for seed in [3u64, 42] {
-        let (legacy, legacy_report) = bcc_core::solve_laplacian_bcc(&graph, &b, 1e-6, seed);
-        let session = Session::builder().seed(seed).build();
-        let mut prepared = session
-            .laplacian(&graph)
-            .epsilon(1e-6)
-            .preprocess()
-            .unwrap();
-        let outcome = prepared.solve(&b).unwrap();
-        assert_eq!(outcome.value.solution, legacy, "seed {seed}");
-        assert_eq!(prepared.report(), legacy_report, "seed {seed}");
-    }
-}
-
-#[test]
-fn session_flow_is_bit_identical_to_the_legacy_function() {
-    let mut rng = ChaCha8Rng::seed_from_u64(55);
-    let instance = generators::random_flow_instance(5, 0.3, 3, &mut rng);
-    let (legacy, legacy_report) = bcc_core::min_cost_max_flow_bcc(&instance, 13);
-    let mut session = Session::builder().seed(13).build();
-    let outcome = session.min_cost_max_flow(&instance).unwrap();
-    assert_eq!(outcome.value.flow, legacy.flow);
-    assert_eq!(outcome.value.fractional, legacy.fractional);
-    assert_eq!(outcome.value.rounds, legacy.rounds);
-    assert_eq!(outcome.report, legacy_report);
-}
+use bcc_core::{graph::generators, Error, Request, Response};
 
 // ---------------------------------------------------------------------------
 // Error paths: malformed input returns `Err`, never panics.
@@ -189,6 +132,75 @@ fn nan_demand_vector_is_rejected_not_solved() {
         session.lp(&lp, &request),
         Err(Error::Lp(bcc_core::lp::LpError::MalformedInstance(_)))
     ));
+}
+
+/// An LP whose `AᵀDA` is diagonal for every `D`: each variable touches one
+/// constraint, so the Gremban graph of the Gram matrix has no edge between
+/// the two halves of a vertex pair and is disconnected.
+fn diagonal_gram_lp() -> (LpInstance, LpRequest) {
+    use bcc_core::linalg::CsrMatrix;
+    let lp = LpInstance {
+        a: CsrMatrix::from_triplets(4, 2, &[(0, 0, 1.0), (1, 1, 1.0), (2, 0, 1.0), (3, 1, 1.0)]),
+        b: vec![1.0, 1.0],
+        c: vec![1.0, 2.0, 3.0, 4.0],
+        lower: vec![0.0; 4],
+        upper: vec![1.0; 4],
+    };
+    let request = LpRequest::new(
+        vec![0.5; 4],
+        LpOptions::new(1e-3, 4, 7).with_uniform_weights(),
+    )
+    .with_sdd_gram(1e-8);
+    (lp, request)
+}
+
+fn assert_gram_solve_error<T: std::fmt::Debug>(result: Result<T, Error>) {
+    match result {
+        Err(Error::Lp(bcc_core::lp::LpError::GramSolve { solver, message })) => {
+            assert_eq!(solver, "gremban-laplacian");
+            assert!(message.contains("connected"), "{message}");
+        }
+        other => panic!("expected a typed GramSolve error, got {other:?}"),
+    }
+}
+
+#[test]
+fn sdd_gram_on_a_diagonal_gram_matrix_is_a_typed_error() {
+    let (lp, request) = diagonal_gram_lp();
+    assert_gram_solve_error(Session::new().lp(&lp, &request));
+}
+
+#[test]
+fn sdd_gram_failure_in_a_serve_scope_does_not_poison_it() {
+    let (lp, request) = diagonal_gram_lp();
+    let grid = generators::grid(3, 3);
+    let mut b = vec![0.0; grid.n()];
+    b[0] = 1.0;
+    b[8] = -1.0;
+    let mut engine = StreamEngine::builder().seed(7).workers(1).build();
+    let output = engine.serve(|client| {
+        let failing = client
+            .submit(Request::lp(lp, request), Priority::Interactive)
+            .unwrap();
+        let failed = client.wait(failing);
+        let after = client
+            .submit(Request::laplacian(grid, b), Priority::Interactive)
+            .unwrap();
+        (failed, client.wait(after))
+    });
+    let (failed, after) = output.value;
+    assert_gram_solve_error(failed);
+    assert!(matches!(after.unwrap().value, Response::Laplacian(_)));
+    assert_eq!(output.report.failures, 1);
+}
+
+#[test]
+fn a_one_vertex_laplacian_solves_to_zero() {
+    let session = Session::new();
+    let mut prepared = session.laplacian(&Graph::new(1)).preprocess().unwrap();
+    // An edgeless graph is its own sparsifier: nothing to broadcast.
+    assert_eq!(prepared.preprocessing_report().total_rounds, 0);
+    assert_eq!(prepared.solve(&[0.0]).unwrap().value.solution, vec![0.0]);
 }
 
 #[test]
