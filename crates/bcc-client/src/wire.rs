@@ -789,7 +789,9 @@ pub enum ServerMsg {
         report: StreamReport,
     },
     /// A connection-level fault (handshake rejection, malformed frame,
-    /// unknown tenant, ...). The server drops the connection after.
+    /// unknown tenant, ...). The server drops the connection after, except
+    /// after `reply-too-large`, which replaces a reply that would exceed
+    /// [`MAX_FRAME_LEN`] and leaves the connection open.
     Fault {
         /// The typed fault.
         fault: WireFault,

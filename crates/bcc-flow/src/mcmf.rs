@@ -9,12 +9,14 @@
 //! near-optimal fractional solution is rounded to the exact integral optimum
 //! (unique with high probability thanks to the cost perturbation).
 
+use std::cell::RefCell;
+
 use bcc_graph::FlowInstance;
-use bcc_laplacian::{solve_sdd, SddMatrix, SddSolveMode};
+use bcc_laplacian::{LaplacianError, PreparedSdd, ScratchArena, SddMatrix, SddSolveMode};
 use bcc_linalg::CsrMatrix;
 use bcc_lp::gram::GramSolver;
 use bcc_lp::{try_lp_solve, LpError, LpOptions, WeightStrategy};
-use bcc_runtime::Network;
+use bcc_runtime::{ModelConfig, Network};
 
 use crate::baselines::IntegralFlow;
 use crate::error::FlowError;
@@ -80,10 +82,50 @@ pub struct McmfResult {
 /// The Gram-solver of Lemma 5.1: `AᵀDA` for the Section-5 constraint matrix is
 /// symmetric diagonally dominant, so it is solved through the Gremban
 /// reduction and the BCC Laplacian solver.
+///
+/// The solver keeps the last system it prepared (a [`PreparedSdd`]) in a
+/// one-slot memo keyed on `a` and `d` compared bit for bit (so `-0.0` and
+/// `0.0` differ) and on the network's `ModelConfig`. A call with the same key
+/// — the `k` JL columns of one leverage-score sketch share their `AᵀDA` —
+/// skips assembly, validation and preparation and only solves; any other
+/// call, and any error, empties the slot first. Round accounting is
+/// unchanged in both [`SddSolveMode`]s: every call charges what one
+/// `solve_sdd` call on the same system charges, preprocessing included, so
+/// results and `RoundReport`s are bit-identical to a fresh solver per call.
 #[derive(Debug, Clone)]
 pub struct SddGramSolver {
     mode: SddSolveMode,
     precision: f64,
+    memo: RefCell<Option<PreparedGram>>,
+}
+
+/// The memo slot of [`SddGramSolver`]: the key, the prepared system and the
+/// Chebyshev work vectors reused by every hit.
+#[derive(Debug, Clone)]
+struct PreparedGram {
+    config: ModelConfig,
+    a: CsrMatrix,
+    d_bits: Vec<u64>,
+    prepared: PreparedSdd,
+    arena: ScratchArena,
+}
+
+impl PreparedGram {
+    fn matches(&self, config: ModelConfig, a: &CsrMatrix, d: &[f64]) -> bool {
+        self.config == config
+            && self.d_bits.len() == d.len()
+            && self
+                .d_bits
+                .iter()
+                .zip(d)
+                .all(|(&bits, v)| bits == v.to_bits())
+            && self.a.rows() == a.rows()
+            && self.a.cols() == a.cols()
+            && (0..a.rows()).all(|r| {
+                let bits = |(c, v): (usize, f64)| (c, v.to_bits());
+                self.a.row(r).map(bits).eq(a.row(r).map(bits))
+            })
+    }
 }
 
 impl SddGramSolver {
@@ -92,6 +134,7 @@ impl SddGramSolver {
         SddGramSolver {
             mode: SddSolveMode::ExactPreconditioner,
             precision,
+            memo: RefCell::new(None),
         }
     }
 
@@ -100,18 +143,17 @@ impl SddGramSolver {
         SddGramSolver {
             mode: SddSolveMode::Full(config),
             precision,
+            memo: RefCell::new(None),
         }
     }
-}
 
-impl GramSolver for SddGramSolver {
-    fn solve(
+    /// Assembles `AᵀDA` and prepares its Gremban reduction.
+    fn prepare(
         &self,
-        net: &mut Network,
+        config: ModelConfig,
         a: &CsrMatrix,
         d: &[f64],
-        y: &[f64],
-    ) -> Result<Vec<f64>, LpError> {
+    ) -> Result<PreparedSdd, LpError> {
         // Assemble AᵀDA as symmetric triplets. For the Section-5 matrix this
         // is B·D₁·Bᵀ + D₂ + D₃ + e_t·D₄·e_tᵀ — diagonally dominant with
         // non-positive off-diagonals (Lemma 5.1); assembling it row-by-row
@@ -137,10 +179,47 @@ impl GramSolver for SddGramSolver {
             solver: self.name(),
             message: format!("AᵀDA is not symmetric diagonally dominant: {e}"),
         })?;
-        solve_sdd(net, &matrix, y, self.precision, &self.mode).map_err(|e| LpError::GramSolve {
+        PreparedSdd::try_new(config, &matrix, &self.mode).map_err(|e| self.reduction_failed(e))
+    }
+
+    fn reduction_failed(&self, e: LaplacianError) -> LpError {
+        LpError::GramSolve {
             solver: self.name(),
             message: format!("the Gremban reduction of AᵀDA failed: {e}"),
-        })
+        }
+    }
+}
+
+impl GramSolver for SddGramSolver {
+    fn solve(
+        &self,
+        net: &mut Network,
+        a: &CsrMatrix,
+        d: &[f64],
+        y: &[f64],
+    ) -> Result<Vec<f64>, LpError> {
+        let mut memo = self.memo.borrow_mut();
+        let config = net.config();
+        if !memo.as_ref().is_some_and(|slot| slot.matches(config, a, d)) {
+            // Empty the slot first: a failed preparation leaves it empty, and
+            // the old and the new system are never held at the same time.
+            *memo = None;
+            *memo = Some(PreparedGram {
+                prepared: self.prepare(config, a, d)?,
+                config,
+                a: a.clone(),
+                d_bits: d.iter().map(|v| v.to_bits()).collect(),
+                arena: ScratchArena::new(),
+            });
+        }
+        let slot = memo.as_mut().expect("the slot was filled above");
+        let solved = slot
+            .prepared
+            .solve_with(net, y, self.precision, &mut slot.arena);
+        if solved.is_err() {
+            *memo = None;
+        }
+        solved.map_err(|e| self.reduction_failed(e))
     }
 
     fn name(&self) -> &'static str {
@@ -295,6 +374,28 @@ mod tests {
             }
             other => panic!("expected a GramSolve error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn the_memo_key_compares_bits_and_the_model() {
+        let inst = diamond();
+        let a = build_flow_lp(&inst, &FlowLpConfig::default()).lp.a;
+        let m = a.rows();
+        let mut d = vec![1.0; m];
+        d[0] = 0.0;
+        let y = vec![0.5; a.cols()];
+        let mut net = Network::clique(ModelConfig::bcc(), inst.graph.n());
+        let solver = SddGramSolver::new(1e-9);
+        solver.solve(&mut net, &a, &d, &y).unwrap();
+        let memo = solver.memo.borrow();
+        let slot = memo.as_ref().expect("a successful solve fills the slot");
+        assert!(slot.matches(ModelConfig::bcc(), &a, &d));
+        let mut negative_zero = d.clone();
+        negative_zero[0] = -0.0;
+        assert!(!slot.matches(ModelConfig::bcc(), &a, &negative_zero));
+        assert!(!slot.matches(ModelConfig::bcc(), &a, &d[1..]));
+        assert!(!slot.matches(ModelConfig::bcc().with_bandwidth_factor(2), &a, &d));
+        assert!(!slot.matches(ModelConfig::bcc(), &a.scale_rows(&vec![2.0; m]), &d));
     }
 
     #[test]

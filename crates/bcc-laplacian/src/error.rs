@@ -1,5 +1,7 @@
 //! Typed errors of the Laplacian solver.
 
+use bcc_runtime::ModelConfig;
+
 /// Errors raised by the Laplacian solver on malformed input: every entry
 /// point ([`crate::LaplacianSolver::try_preprocess`],
 /// [`crate::LaplacianSolver::try_solve`], [`crate::solve_sdd`], …) returns
@@ -29,6 +31,14 @@ pub enum LaplacianError {
         /// Vertices in the graph.
         graph: usize,
     },
+    /// A [`crate::PreparedSdd`] was solved on a network simulating a
+    /// different model than the one it was prepared for.
+    ModelMismatch {
+        /// The model the system was prepared for.
+        prepared: ModelConfig,
+        /// The model of the network the solve was charged on.
+        network: ModelConfig,
+    },
 }
 
 impl std::fmt::Display for LaplacianError {
@@ -47,6 +57,10 @@ impl std::fmt::Display for LaplacianError {
             LaplacianError::NetworkSizeMismatch { network, graph } => write!(
                 f,
                 "network simulates {network} processors but the graph has {graph} vertices"
+            ),
+            LaplacianError::ModelMismatch { prepared, network } => write!(
+                f,
+                "system prepared for {prepared:?} but solved on a {network:?} network"
             ),
         }
     }

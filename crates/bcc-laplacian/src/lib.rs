@@ -7,7 +7,8 @@
 //! * [`LaplacianSolver`] — Theorem 1.3: sparsifier preprocessing + per-instance
 //!   preconditioned Chebyshev solves with `O(log(1/ε)·log(nU/ε))` rounds.
 //! * [`sdd`] — the Gremban reduction from symmetric diagonally dominant
-//!   systems to Laplacian systems on a virtual doubled graph.
+//!   systems to Laplacian systems on a virtual doubled graph; a
+//!   [`PreparedSdd`] reuses one reduction for many right-hand sides.
 //! * Baselines: [`solver::exact_solve`] (dense ground truth) and
 //!   [`solver::cg_baseline`] (centralized conjugate gradients).
 //!
@@ -36,7 +37,7 @@ pub mod sdd;
 pub mod solver;
 
 pub use error::LaplacianError;
-pub use sdd::{exact_sdd_solve, solve_sdd, NotSddError, SddMatrix, SddSolveMode};
+pub use sdd::{exact_sdd_solve, solve_sdd, NotSddError, PreparedSdd, SddMatrix, SddSolveMode};
 pub use solver::{
     cg_baseline, exact_solve, LaplacianSolve, LaplacianSolveStats, LaplacianSolver, ScratchArena,
 };

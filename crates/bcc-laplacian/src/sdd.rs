@@ -19,11 +19,11 @@
 //! (Section 5 of the paper).
 
 use bcc_graph::Graph;
-use bcc_runtime::Network;
+use bcc_runtime::{ModelConfig, Network};
 use bcc_sparsifier::SparsifierConfig;
 
 use crate::error::LaplacianError;
-use crate::solver::LaplacianSolver;
+use crate::solver::{LaplacianSolver, ScratchArena};
 
 /// A symmetric diagonally dominant matrix stored as symmetric COO triplets.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,15 +178,151 @@ pub enum SddSolveMode {
     ExactPreconditioner,
 }
 
+/// An SDD system prepared once for many right-hand sides: the Gremban graph
+/// of `M` and the [`LaplacianSolver`] of its virtual `2n`-vertex network,
+/// plus the rounds and bits that network spent in preprocessing.
+///
+/// Preparation is a deterministic function of the matrix, the model
+/// configuration and the [`SddSolveMode`], so every solve through one
+/// `PreparedSdd` is bit-identical to a [`solve_sdd`] call on the same input,
+/// round accounting included: each solve re-charges the recorded
+/// preprocessing (zero in [`SddSolveMode::ExactPreconditioner`] mode), so
+/// neither mode's `RoundReport` depends on whether the system was prepared
+/// once or per solve. A cache of prepared systems must key on all three
+/// inputs; `bcc_flow::SddGramSolver` keys its one-slot memo on the bits of
+/// `A` and `D` in `AᵀDA` plus the `ModelConfig` (its mode is fixed).
+#[derive(Debug, Clone)]
+pub struct PreparedSdd {
+    n: usize,
+    config: ModelConfig,
+    solver: LaplacianSolver,
+    preprocessing_rounds: u64,
+    preprocessing_bits: u64,
+}
+
+impl PreparedSdd {
+    /// Builds the Gremban graph of `matrix` and preprocesses its Laplacian
+    /// solver on a virtual `2n`-vertex network of model `config` (the
+    /// sparsifier in [`SddSolveMode::Full`] mode, the graph itself as the
+    /// preconditioner in [`SddSolveMode::ExactPreconditioner`] mode).
+    ///
+    /// # Errors
+    ///
+    /// [`LaplacianError::Disconnected`] — the Gremban graph is disconnected
+    /// (for the flow LP matrices of Section 5 the excess diagonal is strictly
+    /// positive, which makes it connected; a diagonal matrix does not).
+    pub fn try_new(
+        config: ModelConfig,
+        matrix: &SddMatrix,
+        mode: &SddSolveMode,
+    ) -> Result<Self, LaplacianError> {
+        let gremban = matrix.gremban_graph();
+        // The 2n virtual vertices live on a virtual network; physical vertex
+        // i simulates virtual vertices i and i + n, so every virtual round
+        // costs two physical rounds, charged by `solve`.
+        let mut virtual_net = Network::clique(config, gremban.n());
+        let solver = match mode {
+            SddSolveMode::Full(sparsifier) => {
+                LaplacianSolver::try_preprocess(&mut virtual_net, &gremban, sparsifier)?
+            }
+            SddSolveMode::ExactPreconditioner => {
+                LaplacianSolver::try_exact_preconditioner(&gremban)?
+            }
+        };
+        Ok(PreparedSdd {
+            n: matrix.n(),
+            config,
+            solver,
+            preprocessing_rounds: virtual_net.ledger().total_rounds(),
+            preprocessing_bits: virtual_net.ledger().total_bits(),
+        })
+    }
+
+    /// Solves `M x = b` (Lemma 5.1): a Chebyshev solve of the Gremban system
+    /// `L·[x₁; x₂] = [b; −b]` on the virtual network, charged on `net` as one
+    /// operation of `2·(preprocessing + solve)` rounds and
+    /// `preprocessing + solve` bits under the phase `"sdd solve (gremban)"`.
+    ///
+    /// # Errors
+    ///
+    /// * [`LaplacianError::DimensionMismatch`] — `b` does not have length `n`.
+    /// * [`LaplacianError::ModelMismatch`] — `net` simulates a different
+    ///   model than the one the system was prepared for.
+    /// * [`LaplacianError::InvalidEpsilon`] — `epsilon` is not positive.
+    pub fn solve(
+        &self,
+        net: &mut Network,
+        b: &[f64],
+        epsilon: f64,
+    ) -> Result<Vec<f64>, LaplacianError> {
+        self.solve_with(net, b, epsilon, &mut ScratchArena::new())
+    }
+
+    /// [`PreparedSdd::solve`] over a caller-provided [`ScratchArena`], so the
+    /// Chebyshev work vectors are reused across solves. Bit-identical to
+    /// `solve`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`PreparedSdd::solve`].
+    pub fn solve_with(
+        &self,
+        net: &mut Network,
+        b: &[f64],
+        epsilon: f64,
+        arena: &mut ScratchArena,
+    ) -> Result<Vec<f64>, LaplacianError> {
+        let n = self.n;
+        if b.len() != n {
+            return Err(LaplacianError::DimensionMismatch {
+                expected: n,
+                actual: b.len(),
+            });
+        }
+        if net.config() != self.config {
+            return Err(LaplacianError::ModelMismatch {
+                prepared: self.config,
+                network: net.config(),
+            });
+        }
+        // Right-hand side [b; -b].
+        let mut rhs = Vec::with_capacity(2 * n);
+        rhs.extend_from_slice(b);
+        rhs.extend(b.iter().map(|v| -v));
+        let mut virtual_net = Network::clique(self.config, 2 * n);
+        let mut solution = Vec::with_capacity(2 * n);
+        self.solver.try_solve_into(
+            &mut virtual_net,
+            &rhs,
+            epsilon.min(0.5),
+            arena,
+            &mut solution,
+        )?;
+        net.begin_phase("sdd solve (gremban)");
+        net.ledger_mut().charge(
+            2 * (self.preprocessing_rounds + virtual_net.ledger().total_rounds()),
+            self.preprocessing_bits + virtual_net.ledger().total_bits(),
+        );
+        Ok((0..n)
+            .map(|i| (solution[i] - solution[i + n]) / 2.0)
+            .collect())
+    }
+}
+
 /// Solves `M x = b` for an SDD matrix `M` via the Gremban reduction and the
 /// Broadcast Congested Clique Laplacian solver (Lemma 5.1).
 ///
-/// The virtual `2n`-vertex network is simulated by the `n` physical vertices;
-/// the extra factor-of-two rounds are charged explicitly.
+/// Equivalent to [`PreparedSdd::try_new`] followed by one
+/// [`PreparedSdd::solve`]; callers solving several right-hand sides against
+/// one matrix should prepare it once instead, keyed on the matrix, the model
+/// configuration and the mode; the rounds charged are the same either way,
+/// in both modes. The virtual `2n`-vertex network is simulated by the `n`
+/// physical vertices; the extra factor-of-two rounds are charged explicitly.
 ///
 /// # Errors
 ///
-/// * [`LaplacianError::DimensionMismatch`] — `b` does not have length `n`.
+/// * [`LaplacianError::DimensionMismatch`] — `b` does not have length `n`
+///   (checked before anything is prepared).
 /// * [`LaplacianError::Disconnected`] — the Gremban graph is disconnected
 ///   (for the flow LP matrices of Section 5 the excess diagonal is strictly
 ///   positive, which makes it connected; a diagonal matrix does not).
@@ -204,30 +340,7 @@ pub fn solve_sdd(
             actual: b.len(),
         });
     }
-    let gremban = matrix.gremban_graph();
-    // The 2n virtual vertices live on a virtual network; physical vertex i
-    // simulates virtual vertices i and i + n, so every virtual round costs two
-    // physical rounds, charged below.
-    let mut virtual_net = Network::clique(net.config(), gremban.n());
-    let solver = match mode {
-        SddSolveMode::Full(config) => {
-            LaplacianSolver::try_preprocess(&mut virtual_net, &gremban, config)?
-        }
-        SddSolveMode::ExactPreconditioner => LaplacianSolver::try_exact_preconditioner(&gremban)?,
-    };
-    // Right-hand side [b; -b].
-    let mut rhs = b.to_vec();
-    rhs.extend(b.iter().map(|v| -v));
-    let solve = solver.try_solve(&mut virtual_net, &rhs, epsilon.min(0.5))?;
-    let virtual_rounds = virtual_net.ledger().total_rounds();
-    let virtual_bits = virtual_net.ledger().total_bits();
-    net.begin_phase("sdd solve (gremban)");
-    net.ledger_mut().charge(2 * virtual_rounds, virtual_bits);
-
-    let n = matrix.n();
-    Ok((0..n)
-        .map(|i| (solve.solution[i] - solve.solution[i + n]) / 2.0)
-        .collect())
+    PreparedSdd::try_new(net.config(), matrix, mode)?.solve(net, b, epsilon)
 }
 
 /// Centralized exact SDD solve (dense), used as ground truth in tests.
@@ -357,6 +470,81 @@ mod tests {
         let mut net = Network::clique(ModelConfig::bcc(), 2);
         let approx = solve_sdd(&mut net, &m, &b, 1e-6, &SddSolveMode::ExactPreconditioner).unwrap();
         assert!(vector::approx_eq(&approx, &exact, 1e-4));
+    }
+
+    #[test]
+    fn prepared_solves_match_solve_sdd_bit_for_bit() {
+        let m = strictly_dominant(6, 11);
+        let gremban = m.gremban_graph();
+        let full = SparsifierConfig::laboratory(gremban.n(), gremban.m().max(2), 0.5, 12)
+            .with_t(6)
+            .with_k(2);
+        for mode in [SddSolveMode::ExactPreconditioner, SddSolveMode::Full(full)] {
+            let prepared = PreparedSdd::try_new(ModelConfig::bcc(), &m, &mode).unwrap();
+            let mut arena = ScratchArena::new();
+            let mut prepared_net = Network::clique(ModelConfig::bcc(), 6);
+            let mut fresh_net = Network::clique(ModelConfig::bcc(), 6);
+            for seed in 0..3 {
+                let mut rng = ChaCha8Rng::seed_from_u64(20 + seed);
+                let b: Vec<f64> = (0..6).map(|_| rng.gen::<f64>() - 0.5).collect();
+                let x = prepared
+                    .solve_with(&mut prepared_net, &b, 1e-6, &mut arena)
+                    .unwrap();
+                let expected = solve_sdd(&mut fresh_net, &m, &b, 1e-6, &mode).unwrap();
+                assert_eq!(x, expected);
+                assert_eq!(prepared_net.ledger(), fresh_net.ledger());
+            }
+        }
+    }
+
+    #[test]
+    fn every_solve_recharges_the_preprocessing_of_its_virtual_network() {
+        let m = strictly_dominant(6, 14);
+        let gremban = m.gremban_graph();
+        let cfg = SparsifierConfig::laboratory(gremban.n(), gremban.m().max(2), 0.5, 15)
+            .with_t(6)
+            .with_k(2);
+        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        let b: Vec<f64> = (0..6).map(|_| rng.gen::<f64>() - 0.5).collect();
+        // Reference: preprocess and solve on one virtual 2n-vertex network.
+        let mut virtual_net = Network::clique(ModelConfig::bcc(), 12);
+        let solver = LaplacianSolver::try_preprocess(&mut virtual_net, &gremban, &cfg).unwrap();
+        assert!(solver.preprocessing_rounds() > 0);
+        let mut rhs = b.clone();
+        rhs.extend(b.iter().map(|v| -v));
+        solver.try_solve(&mut virtual_net, &rhs, 1e-6).unwrap();
+
+        let prepared =
+            PreparedSdd::try_new(ModelConfig::bcc(), &m, &SddSolveMode::Full(cfg)).unwrap();
+        let mut net = Network::clique(ModelConfig::bcc(), 6);
+        for solve in 1..=2 {
+            prepared.solve(&mut net, &b, 1e-6).unwrap();
+            let stats = net.ledger().phase_stats("sdd solve (gremban)").unwrap();
+            assert_eq!(
+                stats.rounds,
+                solve * 2 * virtual_net.ledger().total_rounds()
+            );
+            assert_eq!(stats.bits, solve * virtual_net.ledger().total_bits());
+            assert_eq!(stats.operations, solve);
+        }
+    }
+
+    #[test]
+    fn a_prepared_system_rejects_a_network_of_another_model() {
+        let m = strictly_dominant(3, 13);
+        let prepared =
+            PreparedSdd::try_new(ModelConfig::bcc(), &m, &SddSolveMode::ExactPreconditioner)
+                .unwrap();
+        let other = ModelConfig::congested_clique();
+        let mut net = Network::clique(other, 3);
+        assert_eq!(
+            prepared.solve(&mut net, &[1.0, 0.0, -1.0], 1e-6),
+            Err(LaplacianError::ModelMismatch {
+                prepared: ModelConfig::bcc(),
+                network: other,
+            })
+        );
+        assert_eq!(net.ledger().total_rounds(), 0);
     }
 
     #[test]

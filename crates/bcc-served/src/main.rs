@@ -31,6 +31,7 @@
 //! (the report is also printed to stdout).
 
 use std::collections::HashMap;
+use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -40,7 +41,7 @@ use std::time::Duration;
 
 use bcc_client::wire::{
     decode_msg, read_frame, send_msg, ClientMsg, ServerMsg, WireError, WireFault, WireOutcome,
-    WireResponse, WIRE_SCHEMA,
+    WireResponse, MAX_FRAME_LEN, WIRE_SCHEMA,
 };
 use bcc_core::config::{EngineConfig, Priority};
 use bcc_core::stream::{StreamClient, StreamEngineBuilder, Ticket};
@@ -203,7 +204,7 @@ fn run(options: Options) -> Result<(), String> {
     // The engine drained everything admitted before serve() returned; now
     // the requester gets the deterministic final report.
     if let Some(mut stream) = daemon.finisher.lock().expect("finisher").take() {
-        let _ = send_msg(
+        let _ = send_reply(
             &mut stream,
             &ServerMsg::Report {
                 report: output.report.clone(),
@@ -401,9 +402,27 @@ fn handle_connection(stream: UnixStream, client: &StreamClient<'_>, daemon: &Dae
                 return;
             }
         };
-        if send_msg(&mut writer, &reply).is_err() {
+        if send_reply(&mut writer, &reply).is_err() {
             return;
         }
+    }
+}
+
+/// Sends one reply frame. A reply whose encoding exceeds [`MAX_FRAME_LEN`]
+/// (a long Chrome trace, or the final report after very many submissions)
+/// is replaced by a small `reply-too-large` fault, so the peer learns why
+/// instead of seeing a hang-up; nothing of the oversized frame is written,
+/// so the connection stays usable. `Err` means the writer itself failed.
+fn send_reply(writer: &mut impl Write, reply: &ServerMsg) -> Result<(), WireError> {
+    match send_msg(writer, reply) {
+        Err(WireError::FrameTooLarge { len }) => send_msg(
+            writer,
+            &fault_msg(
+                "reply-too-large",
+                format!("the reply is {len} bytes, over the {MAX_FRAME_LEN}-byte frame bound"),
+            ),
+        ),
+        sent => sent,
     }
 }
 
@@ -552,5 +571,49 @@ fn completed(
             ticket: Some(index),
             fault: WireFault::from_engine_error(&e),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bcc_client::wire::recv_msg;
+
+    fn sent_frames(replies: &[ServerMsg]) -> Vec<ServerMsg> {
+        let mut wire = Vec::new();
+        for reply in replies {
+            send_reply(&mut wire, reply).expect("an in-memory writer does not fail");
+        }
+        let mut reader = wire.as_slice();
+        replies
+            .iter()
+            .map(|_| recv_msg(&mut reader).expect("one frame per reply"))
+            .collect()
+    }
+
+    #[test]
+    fn an_oversized_reply_becomes_a_typed_fault_and_the_stream_stays_framed() {
+        let oversized = ServerMsg::Trace {
+            json: "x".repeat(MAX_FRAME_LEN),
+        };
+        let small = ServerMsg::Pending { ticket: 3 };
+        let frames = sent_frames(&[oversized, small.clone()]);
+        match &frames[0] {
+            ServerMsg::Fault { fault } => {
+                assert_eq!(fault.code, "reply-too-large");
+                assert!(fault.message.contains(&MAX_FRAME_LEN.to_string()));
+            }
+            other => panic!("expected a reply-too-large fault, got {other:?}"),
+        }
+        // The next reply on the same writer arrives intact.
+        assert_eq!(frames[1], small);
+    }
+
+    #[test]
+    fn replies_within_the_bound_are_sent_unchanged() {
+        let reply = ServerMsg::Trace {
+            json: "{}".to_string(),
+        };
+        assert_eq!(sent_frames(std::slice::from_ref(&reply)), vec![reply]);
     }
 }

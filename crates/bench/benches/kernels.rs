@@ -5,11 +5,14 @@
 //! allocation overhead is directly visible in the report. The Laplacian
 //! solve benchmark contrasts a cold scratch arena (rebuilt per request, as a
 //! naive server would) against a warm per-worker arena — the hot loop the
-//! serving engines actually run.
+//! serving engines actually run. The Gram benchmark contrasts the memo hits
+//! of one `SddGramSolver` against a fresh solver per right-hand side.
 
+use bcc_core::flow::SddGramSolver;
 use bcc_core::graph::generators;
 use bcc_core::laplacian::ScratchArena;
 use bcc_core::linalg::{cg, chebyshev, vector, CsrMatrix, SolveScratch};
+use bcc_core::lp::gram::GramSolver;
 use bcc_core::prelude::*;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
@@ -197,6 +200,48 @@ fn bench_leverage(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_gram_repeat(c: &mut Criterion) {
+    // The leverage-score sketch of the MCMF interior point method: k = 10
+    // right-hand sides against one flow-LP Gram matrix AᵀDA. `memo_hits`
+    // drives one SddGramSolver (one preparation, nine memo hits);
+    // `fresh_misses` a fresh solver per right-hand side (ten preparations).
+    let mut rng = ChaCha8Rng::seed_from_u64(29);
+    let instance = generators::random_flow_instance(5, 0.3, 3, &mut rng);
+    let lp = bcc_core::flow::build_flow_lp(&instance, &bcc_core::flow::FlowLpConfig::default()).lp;
+    let d: Vec<f64> = (0..lp.a.rows()).map(|_| rng.gen_range(0.2..3.0)).collect();
+    let rhs: Vec<Vec<f64>> = (0..10)
+        .map(|_| (0..lp.a.cols()).map(|_| rng.gen::<f64>() - 0.5).collect())
+        .collect();
+    let mut net = Network::clique(ModelConfig::bcc(), instance.graph.n());
+    let mut group = c.benchmark_group("gram_repeat");
+    group.sample_size(10);
+    group.bench_function("memo_hits", |bench| {
+        bench.iter(|| {
+            let solver = SddGramSolver::new(1e-8);
+            for y in &rhs {
+                black_box(
+                    solver
+                        .solve(&mut net, &lp.a, &d, black_box(y))
+                        .expect("SDD system"),
+                );
+            }
+        })
+    });
+    group.bench_function("fresh_misses", |bench| {
+        bench.iter(|| {
+            for y in &rhs {
+                let solver = SddGramSolver::new(1e-8);
+                black_box(
+                    solver
+                        .solve(&mut net, &lp.a, &d, black_box(y))
+                        .expect("SDD system"),
+                );
+            }
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_matvec,
@@ -204,6 +249,7 @@ criterion_group!(
     bench_chebyshev,
     bench_laplacian_solve,
     bench_spanner,
-    bench_leverage
+    bench_leverage,
+    bench_gram_repeat
 );
 criterion_main!(benches);
